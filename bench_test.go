@@ -345,62 +345,6 @@ func BenchmarkSweepTable3Batch(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepTable3Disk measures the persistent result tier on the
-// Fig 6 grid. "cold" is a fresh explorer over a fresh, empty cache
-// directory every iteration: every point is simulated and written to
-// disk. "warm" is the restart path the tier exists for: the directory is
-// populated once, then every iteration constructs a fresh explorer —
-// empty memory LRU, cold engine memos, exactly a restarted process — that
-// must serve the whole 512-design sweep from persisted files. The
-// acceptance bar is warm ≥ 2x faster than cold; BENCH_store.json records
-// the measured gap, and TestWarmDiskRestartBitIdentical (internal/dse)
-// pins warm-from-disk results bit-equal to cold ones.
-func BenchmarkSweepTable3Disk(b *testing.B) {
-	w := model.PaperWorkload(model.GPT3_175B())
-	grid := dse.Table3(4800, []float64{600})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			b.StartTimer()
-			ex := dse.NewExplorer()
-			if err := ex.AttachDiskCache(dir); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		seed := dse.NewExplorer()
-		if err := seed.AttachDiskCache(dir); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := seed.Run(grid, w); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var ex *dse.Explorer
-		for i := 0; i < b.N; i++ {
-			ex = dse.NewExplorer() // fresh memory tier and engine: a restart
-			if err := ex.AttachDiskCache(dir); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if s := ex.Cache.Disk().Stats(); s.Hits == 0 {
-			b.Fatal("warm disk sweep never hit the persistent tier")
-		}
-	})
-}
-
 // TestWarmSweepAllocsBelowCold pins the warm-LRU allocation fix: a
 // fully cache-served sweep must allocate strictly less than a cold one.
 // It regressed once — the sharded LRU heap-allocated an FNV hasher and

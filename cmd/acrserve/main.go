@@ -36,7 +36,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
 		backlog    = flag.Int("backlog", 64, "max queued sweep jobs before 503 back-pressure")
 		cache      = flag.Int("cache", 0, "result cache entries (0 = default, -1 = disabled)")
-		cacheDir   = flag.String("cache-dir", "", "persist evaluated points and the job journal under this directory: warm restarts skip re-simulation, finished jobs stay poll-able, unfinished jobs resume (empty = memory-only)")
+		cacheDir   = flag.String("cache-dir", "", "keep the job journal under this directory: finished jobs stay poll-able across restarts, unfinished jobs resume (empty = memory-only)")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-job deadline (-1s = none)")
 		rateLimit  = flag.Float64("rate-limit", 0, "per-client job submissions per second, 429 + Retry-After past it (0 = unlimited)")
 		rateBurst  = flag.Int("rate-burst", 1, "token-bucket burst for -rate-limit")

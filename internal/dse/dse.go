@@ -203,15 +203,14 @@ type Explorer struct {
 	Wafer cost.Wafer
 	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache memoises evaluated points by PointKey in the tiered content-
-	// addressed store (memory LRU, optional disk tier, single-flight
-	// dedup of concurrent identical evaluations) so overlapping grids
-	// (and repeated service requests) skip re-simulation. The key covers
-	// the config and workload only: explorers whose Sim engine or Wafer
-	// model differ from the defaults must not share a cache (set it to
-	// nil, or give each explorer its own — and never point a disk tier
-	// written under one engine at another). Nil disables caching.
-	Cache *store.Tiered[Point]
+	// Cache memoises evaluated points by PointKey in a memory LRU, so
+	// overlapping grids (and repeated service requests) skip
+	// re-simulation. Every miss is simulated, so Cache.Stats().Misses
+	// counts the simulations actually run. The key covers the config and
+	// workload only: explorers whose Sim engine or Wafer model differ from
+	// the defaults must not share a cache (set it to nil, or give each
+	// explorer its own). Nil disables caching.
+	Cache *store.Memory[Point]
 	// Batch, when non-nil, routes cache-miss evaluation through the
 	// struct-of-arrays evaluator in internal/batch instead of the
 	// per-design worker pool. LRU hits are still served point-wise, and
@@ -258,10 +257,10 @@ func (e *Explorer) WithBatch() *Explorer {
 
 // CacheKey returns the canonical result-cache key for one evaluation in
 // its legacy string form — PointKey's hex rendering, which is also the
-// memory tier's LRU key and the disk tier's file name. The hashes are
-// name-invariant and sensitive to every simulation-relevant field, and
-// CacheKey is total — it never lowers or validates the workload, so
-// arbitrary (fuzzer-supplied) inputs are safe.
+// point cache's LRU key. The hashes are name-invariant and sensitive to
+// every simulation-relevant field, and CacheKey is total — it never
+// lowers or validates the workload, so arbitrary (fuzzer-supplied)
+// inputs are safe.
 func CacheKey(cfg arch.Config, w model.Workload) string {
 	return PointKey(cfg, w).String()
 }
@@ -368,40 +367,27 @@ func (e *Explorer) evaluateOne(ctx context.Context, cfg arch.Config, g ir.Graph,
 	ctx, sp := obs.Start(ctx, "dse.evaluate")
 	defer sp.End()
 	sp.SetStr("config", cfg.Name)
-	if e.Cache == nil {
-		r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)
-		if err != nil {
-			return Point{}, err
+	var key store.Key
+	if e.Cache != nil {
+		key = store.Key{Hi: ir.ConfigHash(cfg), Lo: workloadHash} // == PointKey(cfg, g.Workload)
+		if p, ok := e.cacheGet(ctx, key); ok {
+			// The cached point may have been evaluated under a different
+			// grid's display name; restore the requested one.
+			p.Config = cfg
+			p.Result.Config = cfg
+			sp.SetStr("cache", "hit")
+			return p, nil
 		}
-		return e.finishPoint(cfg, r), nil
+		sp.SetStr("cache", "miss")
 	}
-	key := store.Key{Hi: ir.ConfigHash(cfg), Lo: workloadHash} // == PointKey(cfg, g.Workload)
-	if p, out, ok := e.Cache.Lookup(ctx, key); ok {
-		// The cached point may have been evaluated under a different
-		// grid's display name; restore the requested one.
-		p.Config = cfg
-		p.Result.Config = cfg
-		sp.SetStr("cache", out.String())
-		return p, nil
-	}
-	// Miss: compute under the store's single-flight layer, so concurrent
-	// identical sweeps share one evaluation. The span's cache attribute
-	// records what actually happened — "miss" (simulated here), "disk"
-	// (another process's persisted result), or "flight" (shared a racing
-	// caller's computation) — which is what the single-flight tests count.
-	p, out, err := e.Cache.Compute(ctx, key, func(ctx context.Context) (Point, error) {
-		r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)
-		if err != nil {
-			return Point{}, err
-		}
-		return e.finishPoint(cfg, r), nil
-	})
-	sp.SetStr("cache", out.String())
+	r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)
 	if err != nil {
 		return Point{}, err
 	}
-	p.Config = cfg
-	p.Result.Config = cfg
+	p := e.finishPoint(cfg, r)
+	if e.Cache != nil {
+		e.cachePut(ctx, key, p)
+	}
 	return p, nil
 }
 
@@ -472,7 +458,7 @@ func (e *Explorer) evaluateBatch(ctx context.Context, configs []arch.Config, g i
 		missIdx = make([]int, 0, len(configs))
 		for i, cfg := range configs {
 			keys[i] = store.Key{Hi: ir.ConfigHash(cfg), Lo: workloadHash}
-			if p, ok := e.Cache.Get(ctx, keys[i]); ok {
+			if p, ok := e.cacheGet(ctx, keys[i]); ok {
 				// The cached point may have been evaluated under a different
 				// grid's display name; restore the requested one.
 				p.Config = cfg
@@ -519,7 +505,7 @@ func (e *Explorer) evaluateBatch(ctx context.Context, configs []arch.Config, g i
 			}
 			e.finishPointInto(&points[i], configs[i], &o.Results[k])
 			if e.Cache != nil {
-				e.Cache.Put(ctx, keys[i], points[i])
+				e.cachePut(ctx, keys[i], points[i])
 			}
 			done[i] = true
 			if progress != nil {

@@ -281,7 +281,7 @@ func isFloatType(t types.Type) bool {
 // calleeOf resolves the *types.Func a call expression invokes, or nil for
 // indirect calls, conversions and builtins. Methods of instantiated
 // generic types resolve to their generic origin, so FuncDecl lookups see
-// the declaration (Tiered[Result].Lookup → Tiered[V].Lookup).
+// the declaration (Memory[Point].Get → Memory[V].Get).
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -99,9 +99,9 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 	// The run's visit archive is a content-addressed memory store sized
 	// to the budget on a single shard: unique inserts never exceed the
 	// budget, so nothing is ever evicted and every revisit is a hit. Keys
-	// pair the config hash with the workload hash — the same address a
-	// persistent tier would use, so archived results stay distinguishable
-	// per workload.
+	// pair the config hash with the workload hash — the same address the
+	// explorer's point cache uses, so archived results stay
+	// distinguishable per workload.
 	archive := store.NewMemory[Result](budget, 1)
 	wh := ir.WorkloadHash(prob.Workload)
 	defer func() {

@@ -1,12 +1,13 @@
 package server
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,10 +19,9 @@ import (
 
 // TestCacheConcurrentStress hammers the shared point store from many
 // goroutines mixing hits, misses and evictions; run with -race it proves
-// the tiered store over the sharded LRU is data-race free.
+// the sharded LRU point cache is data-race free.
 func TestCacheConcurrentStress(t *testing.T) {
 	cache := newPointCache(256)
-	ctx := context.Background()
 	w := model.PaperWorkload(model.Llama3_8B())
 	base := arch.A100()
 
@@ -34,12 +34,12 @@ func TestCacheConcurrentStress(t *testing.T) {
 				cfg := base
 				cfg.L2MB = 8 + (g*13+i)%512 // many distinct keys force evictions
 				key := dse.PointKey(cfg, w)
-				if p, ok := cache.Get(ctx, key); ok && p.Config.L2MB != cfg.L2MB {
+				if p, ok := cache.Get(key); ok && p.Config.L2MB != cfg.L2MB {
 					t.Errorf("cache returned a point for the wrong key: L2 %d != %d",
 						p.Config.L2MB, cfg.L2MB)
 					return
 				}
-				cache.Put(ctx, key, dse.Point{Config: cfg})
+				cache.Put(key, dse.Point{Config: cfg})
 			}
 		}(g)
 	}
@@ -99,5 +99,52 @@ func TestConcurrentSimulateRequests(t *testing.T) {
 	}
 	if stats.Hits == 0 {
 		t.Error("80 requests over 4 configs should mostly hit the cache")
+	}
+}
+
+// TestCacheDirHoldsOnlyJournal runs a DSE job on a server with a cache
+// directory: evaluated points stay in memory, so the directory holds the
+// job journal and nothing else, and /metrics reports the point cache as
+// the one "mem" tier next to the job flight and the perf memo tables.
+func TestCacheDirHoldsOnlyJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := journalServer(t, dir)
+	defer func() { ts.Close(); s.Close() }()
+
+	_, body := postJSON(t, ts.URL+"/v1/dse", smallDSEBody)
+	var enq EnqueueResponse
+	if err := json.Unmarshal(body, &enq); err != nil {
+		t.Fatal(err)
+	}
+	if st := pollJob(t, ts.URL, enq.JobID); st.State != "succeeded" {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "jobs" {
+		t.Errorf("cache dir holds %v, want only the jobs journal", names)
+	}
+
+	var m MetricsSnapshot
+	if resp := getJSON(t, ts.URL+"/metrics", &m); resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	for name := range m.Store {
+		if name != "mem" && name != "jobs.dse" && !strings.HasPrefix(name, "perf.") {
+			t.Errorf("/metrics store has unexpected tier %q", name)
+		}
+	}
+	mem, ok := m.Store["mem"]
+	if !ok || mem.Misses == 0 || mem.Misses != m.Cache.Misses || mem.Hits != m.Cache.Hits {
+		t.Errorf("store mem = %+v (present %v), want the point cache's counts %+v", mem, ok, m.Cache)
+	}
+	if _, ok := m.Store["jobs.dse"]; !ok {
+		t.Error("/metrics store lacks the jobs.dse flight")
 	}
 }

@@ -5,9 +5,9 @@
 // Synchronous endpoints answer directly; heavy DSE sweeps go through an
 // async job API backed by a bounded worker-pool queue with per-job
 // context cancellation and deadlines. Every simulation, synchronous or
-// queued, flows through one shared dse.Explorer whose tiered result store
-// (package store: sharded memory LRU, optional persistent disk tier,
-// single-flight dedup) makes repeated and overlapping sweeps cheap. The
+// queued, flows through one shared dse.Explorer whose point cache (a
+// sharded memory LRU from package store) makes repeated and overlapping
+// sweeps cheap, and identical queued sweeps share one execution. The
 // observability surface — /healthz, /metrics with request counts, latency
 // histograms, cache hit ratio and queue depth, plus structured request
 // logging — rides on the standard library alone.
@@ -74,10 +74,7 @@ type Config struct {
 	// CacheEntries bounds the shared result cache; 0 means
 	// dse.DefaultCacheEntries, negative disables caching.
 	CacheEntries int
-	// CacheDir, when non-empty, attaches a persistent disk tier under
-	// this directory to the shared result store — evaluated points
-	// survive restarts, and a warm directory serves repeat sweeps from
-	// disk instead of re-simulating — and enables the job journal under
+	// CacheDir, when non-empty, enables the job journal under
 	// <CacheDir>/jobs: accepted DSE/search jobs persist their specs and
 	// terminal results, so finished jobs stay poll-able across restarts
 	// and unfinished ones resume. Empty (the default) keeps everything
@@ -159,16 +156,6 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries > 0:
 		ex.Cache = newPointCache(cfg.CacheEntries)
 	}
-	if cfg.CacheDir != "" && ex.Cache != nil {
-		if err := ex.AttachDiskCache(cfg.CacheDir); err != nil {
-			// Serve memory-only rather than refuse to start: a bad cache
-			// dir degrades warm restarts, not correctness.
-			cfg.Logger.Warn("persistent result cache disabled",
-				"dir", cfg.CacheDir, "err", err)
-		} else {
-			cfg.Logger.Info("persistent result cache attached", "dir", cfg.CacheDir)
-		}
-	}
 	s := &Server{
 		cfg:      cfg,
 		explorer: ex,
@@ -191,7 +178,7 @@ func New(cfg Config) *Server {
 	if cfg.CacheDir != "" {
 		jl, err := openJournal(cfg.CacheDir, s.obs, s.log)
 		if err != nil {
-			// Like a bad cache dir: degrade durability, not availability.
+			// Degrade durability, not availability.
 			s.log.Warn("job journal disabled", "dir", cfg.CacheDir, "err", err)
 		} else {
 			s.journal = jl
@@ -399,12 +386,18 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // explicit grid) is well under this.
 const maxBodyBytes = 1 << 20
 
+// writeJSON encodes v before writing the status, so a value that cannot
+// be encoded (a non-finite float, say) becomes a 500 naming the encode
+// error instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeIndented(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client disconnects are not actionable
+	w.Write(body) //nolint:errcheck // client disconnects are not actionable
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -495,7 +488,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	wl, err := req.Workload.Workload()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "workload: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pts, err := s.explorer.EvaluateContext(r.Context(), []arch.Config{cfg}, wl)
@@ -573,7 +566,7 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 	}
 	wl, err := wreq.Workload()
 	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+		return nil, err
 	}
 	dj := &dseJob{
 		grid:      grid,
@@ -946,9 +939,9 @@ func (s *Server) journalStatus(id string) (JobStatus, bool) {
 	return s.journal.terminal(id)
 }
 
-// encodeIndented renders v exactly as writeJSON would (two-space
-// indent, trailing newline), but to memory — the ETag must hash the
-// bytes the client will actually receive.
+// encodeIndented renders v as every JSON response body is rendered
+// (two-space indent, trailing newline) — the ETag must hash the bytes
+// the client will actually receive.
 func encodeIndented(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -1046,9 +1039,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	tiers := make(map[string]store.Stats)
 	if s.explorer.Cache != nil {
 		cache = s.explorer.Cache.Stats()
-		for name, st := range s.explorer.Cache.TierStats() {
-			tiers[name] = st
-		}
+		tiers["mem"] = cache
 	}
 	tiers["jobs.dse"] = s.dseFlights.Stats()
 	if s.explorer.Sim != nil && s.explorer.Sim.Engine != nil {

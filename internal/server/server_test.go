@@ -424,6 +424,10 @@ func TestDSEBackpressure503(t *testing.T) {
 		Backlog: 1,
 		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
+	// Throttle evaluation so the first job is still running when the
+	// later submissions arrive; an unthrottled small sweep can finish
+	// within one HTTP round trip and leave no backlog to overflow.
+	s.Explorer().Sim.Backend = throttledBackend{engine: perf.Default(), delay: 20 * time.Microsecond}
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 

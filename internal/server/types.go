@@ -128,7 +128,8 @@ type WorkloadRequest struct {
 	WeightBits     int    `json:"weight_bits,omitempty"`
 }
 
-// Workload materialises and validates the request.
+// Workload materialises and validates the request. Every error it
+// returns carries exactly one "workload:" prefix.
 func (r WorkloadRequest) Workload() (model.Workload, error) {
 	var m model.Model
 	switch r.Model {
@@ -137,7 +138,7 @@ func (r WorkloadRequest) Workload() (model.Workload, error) {
 	case "llama3":
 		m = model.Llama3_8B()
 	default:
-		return model.Workload{}, fmt.Errorf("unknown model %q (gpt3, llama3)", r.Model)
+		return model.Workload{}, fmt.Errorf("workload: unknown model %q (gpt3, llama3)", r.Model)
 	}
 	w := model.PaperWorkload(m)
 	if r.Batch != 0 {
@@ -433,7 +434,7 @@ func (r SearchRequest) problem() (search.Problem, error) {
 	}
 	wl, err := wreq.Workload()
 	if err != nil {
-		return search.Problem{}, fmt.Errorf("workload: %w", err)
+		return search.Problem{}, err
 	}
 	switch r.Space {
 	case "", "table3":

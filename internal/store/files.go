@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,22 +9,34 @@ import (
 	"strings"
 )
 
-// Files is the named-entry sibling of the Disk tier: a small durable map
-// from caller-chosen names to encoded values, one file per entry in the
-// shared container format (versioned header, key echo, checksummed
-// payload, temp file + atomic rename). Where Disk is a content-addressed
-// cache — keys are hashes, losses are misses — Files is a journal
-// primitive: entries are looked up by name, Put reports its error, and
-// List enumerates what survived a restart. The integrity key echoed into
-// each container is derived from the entry name, so a renamed or
-// cross-linked file fails decode exactly as in the Disk tier.
+// Codec serialises one value kind for Files. Implementations are
+// hand-written binary encoders.
+type Codec[V any] interface {
+	// Version names the encoded schema revision. It is written into every
+	// file header and compared on read: a mismatch reads as absent, so
+	// files written under an older layout self-invalidate instead of
+	// decoding into garbage.
+	Version() string
+	// Encode appends v's encoding to dst and returns the extended slice.
+	Encode(dst []byte, v V) ([]byte, error)
+	// Decode parses one encoded value.
+	Decode(data []byte) (V, error)
+}
+
+// Files is a small durable map from caller-chosen names to encoded
+// values, one file per entry in a versioned, checksummed container
+// written through a temp file and an atomic rename, so readers only
+// ever see complete files and a crash mid-write leaves at worst an
+// orphaned temp file. It is a journal primitive: entries are looked up
+// by name, Put reports its error, and List enumerates what survived a
+// restart. The integrity key echoed into each container is derived from
+// the entry name, so a renamed or cross-linked file fails decode.
 type Files[V any] struct {
 	dir   string
 	codec Codec[V]
 }
 
-// filesSuffix marks named-entry files; the distinct extension keeps a
-// Files directory disjoint from a Disk tier's hash-named ".acr" files.
+// filesSuffix marks named-entry files.
 const filesSuffix = ".acrj"
 
 // NewFiles opens (creating if needed) a named-entry store rooted at dir,
@@ -65,7 +78,7 @@ func validName(name string) bool {
 
 // nameKey derives the container integrity key from an entry name: two
 // independent FNV-1a streams (distinct offset bases) over the same
-// bytes, mirroring how the Disk tier's content hashes fill both words.
+// bytes.
 func nameKey(name string) Key {
 	h1 := uint64(14695981039346656037)
 	h2 := uint64(12638153115695167455)
@@ -82,8 +95,8 @@ func (f *Files[V]) path(name string) string {
 }
 
 // Put encodes v and atomically installs it as name's entry, replacing
-// any previous value. Unlike the cache tier, failures are returned: a
-// journal write that cannot land is something the caller must know.
+// any previous value. Failures are returned: a journal write that
+// cannot land is something the caller must know.
 func (f *Files[V]) Put(name string, v V) error {
 	if !validName(name) {
 		return fmt.Errorf("store: invalid entry name %q", name)
@@ -162,5 +175,91 @@ func (f *Files[V]) List() ([]string, error) {
 	return names, nil
 }
 
-// Dir returns the store's root directory.
-func (f *Files[V]) Dir() string { return f.dir }
+// ---- file format ----
+//
+// All integers little-endian:
+//
+//	magic    [4]byte  "acrs"
+//	format   uint16   container layout revision (formatVersion)
+//	version  uvarint-prefixed string — the codec's schema revision
+//	key      2×uint64 (Hi, Lo; must match the entry name's nameKey)
+//	paylen   uint32
+//	checksum uint64   FNV-1a over the payload
+//	payload  paylen bytes — the codec's encoding
+
+const (
+	tmpPrefix     = ".tmp-"
+	formatVersion = 1
+)
+
+var magic = [4]byte{'a', 'c', 'r', 's'}
+
+// encodeEntry serialises one value into the container layout.
+func encodeEntry[V any](codec Codec[V], k Key, v V) ([]byte, error) {
+	version := codec.Version()
+	buf := make([]byte, 0, 64+len(version))
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, formatVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(version)))
+	buf = append(buf, version...)
+	buf = binary.LittleEndian.AppendUint64(buf, k.Hi)
+	buf = binary.LittleEndian.AppendUint64(buf, k.Lo)
+	payload, err := codec.Encode(nil, v)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint64(buf, fnv1a(payload))
+	return append(buf, payload...), nil
+}
+
+// decodeEntry parses one container file, validating the magic, format
+// revision, schema version, key echo and payload checksum. Any mismatch
+// is reported as absence, never a partial decode.
+func decodeEntry[V any](codec Codec[V], k Key, data []byte) (V, bool) {
+	var zero V
+	if len(data) < 4+2 || [4]byte(data[:4]) != magic {
+		return zero, false
+	}
+	data = data[4:]
+	if binary.LittleEndian.Uint16(data) != formatVersion {
+		return zero, false
+	}
+	data = data[2:]
+	vlen, n := binary.Uvarint(data)
+	if n <= 0 || uint64(len(data)-n) < vlen {
+		return zero, false
+	}
+	if string(data[n:n+int(vlen)]) != codec.Version() {
+		return zero, false // stale schema revision: self-invalidate
+	}
+	data = data[n+int(vlen):]
+	if len(data) < 8+8+4+8 {
+		return zero, false
+	}
+	if binary.LittleEndian.Uint64(data) != k.Hi || binary.LittleEndian.Uint64(data[8:]) != k.Lo {
+		return zero, false // renamed or cross-linked file
+	}
+	paylen := binary.LittleEndian.Uint32(data[16:])
+	sum := binary.LittleEndian.Uint64(data[20:])
+	payload := data[28:]
+	if uint32(len(payload)) != paylen || fnv1a(payload) != sum {
+		return zero, false // truncated or bit-rotted
+	}
+	v, err := codec.Decode(payload)
+	if err != nil {
+		return zero, false
+	}
+	return v, true
+}
+
+// fnv1a is the 64-bit FNV-1a checksum guarding payload integrity —
+// the same family the content hashes use, dependency-free and fast.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,5 +117,109 @@ func TestFilesSweepsOrphanedTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatal("orphaned temp file survived NewFiles")
+	}
+}
+
+// TestFilesCrashSafety maps a name to a mutation of a valid entry file;
+// every one must read as absent, be removed, and heal on the next Put.
+func TestFilesCrashSafety(t *testing.T) {
+	corruptions := map[string]func(path string, data []byte) error{
+		"truncated-header": func(path string, data []byte) error {
+			return os.WriteFile(path, data[:3], 0o644)
+		},
+		"truncated-payload": func(path string, data []byte) error {
+			return os.WriteFile(path, data[:len(data)-1], 0o644)
+		},
+		"flipped-payload-bit": func(path string, data []byte) error {
+			data[len(data)-1] ^= 0x40
+			return os.WriteFile(path, data, 0o644)
+		},
+		"wrong-magic": func(path string, data []byte) error {
+			data[0] = 'X'
+			return os.WriteFile(path, data, 0o644)
+		},
+		"empty": func(path string, data []byte) error {
+			return os.WriteFile(path, nil, 0o644)
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			f, err := NewFiles[pair](t.TempDir(), pairCodec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pair{A: 1, B: "x"}
+			if err := f.Put("entry", want); err != nil {
+				t.Fatal(err)
+			}
+			path := f.path("entry")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := corrupt(path, data); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := f.Get("entry"); ok {
+				t.Fatal("corrupted file served a value")
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("corrupted file was not removed: %v", err)
+			}
+			// The slot heals: rewrite and read back.
+			if err := f.Put("entry", want); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := f.Get("entry"); !ok || got != want {
+				t.Fatalf("after rewrite: got %+v, %v", got, ok)
+			}
+		})
+	}
+}
+
+// TestFilesSchemaRevisionSelfInvalidates pins the versioned header:
+// entries written under one codec revision read as absent (and are
+// dropped) under another, so a layout change can never decode stale
+// bytes into garbage.
+func TestFilesSchemaRevisionSelfInvalidates(t *testing.T) {
+	dir := t.TempDir()
+	f1, err := NewFiles[pair](dir, pairCodec{version: "pair-v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f1.Put("entry", pair{A: 5, B: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := NewFiles[pair](dir, pairCodec{version: "pair-v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f2.Get("entry"); ok {
+		t.Fatal("stale schema revision served a value")
+	}
+	if _, err := os.Stat(f2.path("entry")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stale entry was not removed: %v", err)
+	}
+}
+
+// TestFilesRejectsRenamedFile pins the key-in-header check: copying a
+// valid entry file onto another entry's name must not alias the two.
+func TestFilesRejectsRenamedFile(t *testing.T) {
+	f, err := NewFiles[pair](t.TempDir(), pairCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Put("alpha", pair{A: 11, B: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.path("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(f.path("beta"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.Get("beta"); ok {
+		t.Fatal("cross-linked file served under the wrong name")
 	}
 }

@@ -74,7 +74,7 @@ func (f *Flight[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (v V, s
 		c.v, c.err = fn()
 		f.mu.Lock()
 		// Remove before signalling: late arrivals become fresh leaders
-		// (the value is expected to be in a tier by now) while existing
+		// (the value is expected to be cached by now) while existing
 		// waiters drain from c.
 		delete(f.calls, k)
 		f.mu.Unlock()

@@ -1,25 +1,18 @@
-// Package store is the repo's content-addressed result store: one home
-// for every cache the evaluation pipeline used to scatter across layers
-// (the dse point LRU, the batch miss router, the search visit archive,
-// the perf component memo, the server job queue). Results are addressed
-// by 128-bit content keys built from the IR hashes of their inputs
-// (ir.ConfigHash / ir.WorkloadHash), so a result is location-independent:
-// any process that can derive the key can reuse the result.
+// Package store is the repo's content-addressed result store. Results
+// are addressed by 128-bit content keys built from the IR hashes of
+// their inputs (ir.ConfigHash / ir.WorkloadHash), so a result is
+// location-independent: any process that can derive the key can reuse
+// it.
 //
-// The store composes three tiers behind one interface (Tiered):
+// The package has three parts, each used on its own:
 //
 //   - Memory: the sharded LRU from internal/lru, adapted (not duplicated)
-//     to Key addressing. Hot, bounded, per-process.
-//   - Disk: content-hash-named files under a cache dir. Atomic
-//     write-rename, a versioned header carrying the value codec's schema
-//     revision (stale formats self-invalidate), and corruption-tolerant
-//     reads (a damaged file is a miss, not an error). Survives restarts.
+//     to Key addressing. dse.Explorer caches evaluated points in one, and
+//     search.Runner uses another as its no-eviction visit archive.
 //   - Flight: single-flight deduplication of identical in-flight
-//     computations — N concurrent identical sweeps share one evaluation.
-//
-// Each tier also stands alone: search.Runner uses a bare Memory tier as
-// its no-eviction visit archive, and the server uses a bare Flight to
-// coalesce identical queued jobs.
+//     computations. The server coalesces identical queued jobs with it.
+//   - Files: a durable named-entry map in a versioned, checksummed file
+//     container. The server's job journal lives in one.
 package store
 
 // Key is a 128-bit content address. By module convention Hi is the
@@ -33,10 +26,9 @@ type Key struct {
 }
 
 // String renders the key as 16 hex digits, '-', 16 hex digits — the
-// exact legacy dse cache-key format, so the memory tier's LRU keys (and
-// the disk tier's file names) are stable across the refactor. Manual
-// encoding keeps a warm cache probe at a single allocation (fmt.Sprintf
-// costs three).
+// exact legacy dse cache-key format, so the memory tier's LRU keys are
+// stable. Manual encoding keeps a warm cache probe at a single
+// allocation (fmt.Sprintf costs three).
 func (k Key) String() string {
 	const hex = "0123456789abcdef"
 	var b [33]byte
@@ -48,24 +40,23 @@ func (k Key) String() string {
 	return string(b[:])
 }
 
-// Stats is one tier's effectiveness snapshot — the shape every tier
-// (memory, disk, flight, and perf's component memo tables) reports, so
-// /metrics can expose the whole cache stack uniformly.
+// Stats is one cache's effectiveness snapshot — the shape Memory,
+// Flight and perf's component memo tables all report, so /metrics can
+// expose every cache uniformly.
 type Stats struct {
 	// Hits and Misses count lookup outcomes since construction. For the
 	// flight tier, Hits counts followers served by a shared computation
 	// and Misses counts leader computations.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries displaced by a size bound; the disk tier
-	// counts corrupt or stale-schema files it discarded.
+	// Evictions counts entries displaced by a size bound.
 	Evictions uint64 `json:"evictions"`
 	// Len is the current entry count, Capacity the configured bound
 	// (0 = unbounded).
 	Len      int `json:"entries"`
 	Capacity int `json:"capacity"`
-	// Bytes approximates the tier's resident size: shallow value bytes
-	// plus key bytes for the memory tier, file payload bytes on disk.
+	// Bytes approximates the tier's resident size: value bytes plus key
+	// bytes for the memory tier.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -76,33 +67,4 @@ func (s Stats) HitRatio() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// Outcome says which tier served (or failed to serve) a lookup.
-type Outcome uint8
-
-const (
-	// Miss: no tier had the value; the caller computed it.
-	Miss Outcome = iota
-	// HitMem: served by the memory LRU.
-	HitMem
-	// HitDisk: served by the persistent tier (and promoted to memory).
-	HitDisk
-	// Shared: served by another caller's in-flight computation.
-	Shared
-)
-
-// String renders the outcome in the vocabulary dse.evaluate spans use
-// for their "cache" attribute ("hit" predates the tiers).
-func (o Outcome) String() string {
-	switch o {
-	case HitMem:
-		return "hit"
-	case HitDisk:
-		return "disk"
-	case Shared:
-		return "flight"
-	default:
-		return "miss"
-	}
 }
