@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Process identifies the manufacturing process node of a die. The October
@@ -133,10 +134,28 @@ func (c Config) Validate() error {
 		what = "device bandwidth must be non-negative"
 	case !(c.ClockGHz > 0):
 		what = "clock must be positive"
+	case !fitsInt(c.SystolicDimX, c.SystolicDimY, c.LanesPerCore, c.CoreCount):
+		what = "MAC unit count (systolic X·Y × lanes × cores) overflows int"
+	case !fitsInt(c.CoreCount, c.LanesPerCore, c.VectorWidth):
+		what = "vector unit count (cores × lanes × vector width) overflows int"
 	default:
 		return nil
 	}
 	return fmt.Errorf("%w: %s (config %q)", ErrInvalidConfig, what, c.Name)
+}
+
+// fitsInt reports whether the product of positive factors fits in an
+// int, so the unit counts derived from them cannot wrap negative.
+func fitsInt(factors ...int) bool {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, uint64(f))
+		if hi != 0 || lo > math.MaxInt {
+			return false
+		}
+		p = lo
+	}
+	return true
 }
 
 // MACsPerLane returns the multiply-accumulate units in one systolic array.

@@ -111,6 +111,11 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		{"zero HBM bandwidth", func(c *Config) { c.HBMBandwidthGBs = 0 }},
 		{"negative device BW", func(c *Config) { c.DeviceBWGBs = -1 }},
 		{"zero clock", func(c *Config) { c.ClockGHz = 0 }},
+		{"MAC count overflow", func(c *Config) { c.CoreCount, c.LanesPerCore = 2e9, 2e9 }},
+		{"vector unit overflow", func(c *Config) {
+			c.SystolicDimX, c.SystolicDimY = 1, 1
+			c.CoreCount, c.LanesPerCore, c.VectorWidth = 1<<30, 1<<30, 1<<10
+		}},
 	}
 	for _, m := range mutations {
 		c := base

@@ -23,9 +23,9 @@ func PointKey(cfg arch.Config, w model.Workload) store.Key {
 }
 
 // NewPointStore returns the point cache the explorer and the serving
-// layer share: a sharded memory LRU (non-positive shards =
-// lru.DefaultShards) sized in entries and byte-accounted with a deep
-// Point sizer.
+// layer share: a store.Memory LRU keyed by PointKey (non-positive
+// shards = the store's default of 16), sized in entries and
+// byte-accounted with a deep Point sizer.
 func NewPointStore(entries, shards int) *store.Memory[Point] {
 	return store.NewMemorySized(entries, shards, pointSize)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/dse"
 	"repro/internal/golden"
 	"repro/internal/model"
@@ -141,5 +142,35 @@ func TestConcurrentIdenticalSweepsBitIdentical(t *testing.T) {
 	}
 	if st.Len != unique {
 		t.Errorf("cache holds %d points, want the %d unique designs", st.Len, unique)
+	}
+}
+
+// TestWarmHitSweepAllocsFlatInDesigns pins the memory tier's per-probe
+// cost: a warm explorer's all-hit sweep allocates per sweep (lowering,
+// the result slice, the worker pool), never per design. The 512-design
+// and 1536-design Table 3 sweeps must therefore allocate the same count.
+func TestWarmHitSweepAllocsFlatInDesigns(t *testing.T) {
+	ex := dse.NewExplorer()
+	w := model.PaperWorkload(model.Llama3_8B())
+	allocs := func(cfgs []arch.Config) float64 {
+		if _, err := ex.Evaluate(cfgs, w); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ex.Evaluate(cfgs, w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := dse.Table3(4800, []float64{600}).Expand()
+	large := dse.Table3(2400, []float64{500, 700, 900}).Expand()
+	if len(small) != 512 || len(large) != 1536 {
+		t.Fatalf("grids expanded to %d and %d designs, want 512 and 1536", len(small), len(large))
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("warm all-hit sweep: %v allocs at 512 designs, %v at 1536; want equal", a, b)
+	}
+	if st := ex.Cache.Stats(); st.Misses != uint64(len(small)+len(large)) {
+		t.Errorf("cache misses = %d, want one per design (%d)", st.Misses, len(small)+len(large))
 	}
 }

@@ -255,16 +255,6 @@ func (e *Explorer) WithBatch() *Explorer {
 	return &c
 }
 
-// CacheKey returns the canonical result-cache key for one evaluation in
-// its legacy string form — PointKey's hex rendering, which is also the
-// point cache's LRU key. The hashes are name-invariant and sensitive to
-// every simulation-relevant field, and CacheKey is total — it never
-// lowers or validates the workload, so arbitrary (fuzzer-supplied)
-// inputs are safe.
-func CacheKey(cfg arch.Config, w model.Workload) string {
-	return PointKey(cfg, w).String()
-}
-
 // Evaluate simulates every configuration for the workload and returns the
 // evaluated points in the same order. It is EvaluateContext without
 // cancellation, kept for existing callers.

@@ -158,6 +158,26 @@ func TestSimulateRejectsInvalidConfigAndWorkload(t *testing.T) {
 	}
 }
 
+// TestEndpointsRejectUnitCountOverflow is the integer-overflow
+// regression: a config whose cores × lanes × systolic MAC product wraps
+// int used to classify with a negative TPP, match no rule and audit as
+// compliant. Every config-taking endpoint must answer 400 naming the
+// overflow instead.
+func TestEndpointsRejectUnitCountOverflow(t *testing.T) {
+	_, ts := newTestServer(t)
+	cfg := `{"preset":"a100","core_count":2000000000,"lanes_per_core":2000000000}`
+	for _, route := range []string{"/v1/classify", "/v1/simulate", "/v1/audit"} {
+		resp, body := postJSON(t, ts.URL+route, `{"config":`+cfg+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400; body %s", route, resp.StatusCode, body)
+			continue
+		}
+		if !strings.Contains(string(body), "overflows int") {
+			t.Errorf("%s: error does not name the overflow: %s", route, body)
+		}
+	}
+}
+
 func TestSimulateUsesSharedCache(t *testing.T) {
 	s, ts := newTestServer(t)
 	body := `{"config":{"preset":"a100"},"workload":{"model":"llama3"}}`

@@ -1,53 +1,56 @@
-package lru
+package store
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// testKey builds a test key; distinct n give distinct keys.
+func testKey(n uint64) Key { return Key{Hi: n} }
+
 func TestGetPutAndEviction(t *testing.T) {
 	// One shard makes eviction order deterministic.
-	c := New[int](2, 1)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	c := NewMemory[int](2, 1)
+	a, b, cc := testKey(1), testKey(2), testKey(3)
+	c.Put(a, 1)
+	c.Put(b, 2)
+	if v, ok := c.Get(a); !ok || v != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	// "a" is now most recent; inserting "c" must evict "b".
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
+	// a is now most recent; inserting c must evict b.
+	c.Put(cc, 3)
+	if _, ok := c.Get(b); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(a); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(cc); !ok {
 		t.Error("c should be present")
 	}
-	if got := c.Len(); got != 2 {
+	if got := c.Stats().Len; got != 2 {
 		t.Errorf("Len = %d, want 2", got)
 	}
 }
 
 func TestPutRefreshesExisting(t *testing.T) {
-	c := New[string](2, 1)
-	c.Put("k", "v1")
-	c.Put("k", "v2")
-	if v, _ := c.Get("k"); v != "v2" {
+	c := NewMemory[string](2, 1)
+	c.Put(testKey(1), "v1")
+	c.Put(testKey(1), "v2")
+	if v, _ := c.Get(testKey(1)); v != "v2" {
 		t.Errorf("refresh failed: %q", v)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if got := c.Stats().Len; got != 1 {
+		t.Errorf("Len = %d, want 1", got)
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
-	c := New[int](4, 2)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("missing")
+	c := NewMemory[int](4, 2)
+	c.Put(testKey(1), 1)
+	c.Get(testKey(1))
+	c.Get(testKey(2))
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit 1 miss", s)
@@ -64,9 +67,9 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestCapacityRaisedToShardCount(t *testing.T) {
-	c := New[int](1, 8)
+	c := NewMemory[int](1, 8)
 	for i := 0; i < 8; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.Put(testKey(uint64(i)), i)
 	}
 	if s := c.Stats(); s.Capacity != 8 {
 		t.Errorf("capacity = %d, want 8 (one per shard)", s.Capacity)
@@ -76,7 +79,7 @@ func TestCapacityRaisedToShardCount(t *testing.T) {
 // TestHitRatioEmptyCache is the NaN regression: a ratio over zero
 // lookups must answer 0, not 0/0.
 func TestHitRatioEmptyCache(t *testing.T) {
-	c := New[int](16, 4)
+	c := NewMemory[int](16, 4)
 	s := c.Stats()
 	if s.Hits != 0 || s.Misses != 0 {
 		t.Fatalf("fresh cache stats = %+v", s)
@@ -92,7 +95,7 @@ func TestHitRatioEmptyCache(t *testing.T) {
 // taken mid-burst could count a lookup in Misses that a later-read Hits
 // had not yet seen, breaking Hits+Misses <= lookups-started.
 func TestStatsConsistentSnapshot(t *testing.T) {
-	c := New[int](64, 8)
+	c := NewMemory[int](64, 8)
 	var started atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -106,7 +109,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("k%d", (g*17+i)%64)
+				key := testKey(uint64((g*17 + i) % 64))
 				started.Add(1)
 				if _, ok := c.Get(key); !ok {
 					c.Put(key, i)
@@ -139,70 +142,71 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New[int](128, 8)
+	c := NewMemory[int](128, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("k%d", (g*31+i)%200)
-				if v, ok := c.Get(key); ok && v != (g*31+i)%200 {
-					t.Errorf("corrupt value for %s: %d", key, v)
+				n := (g*31 + i) % 200
+				if v, ok := c.Get(testKey(uint64(n))); ok && v != n {
+					t.Errorf("corrupt value for key %d: %d", n, v)
 					return
 				}
-				c.Put(key, (g*31+i)%200)
+				c.Put(testKey(uint64(n)), n)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 128 {
-		t.Errorf("cache exceeded capacity: %d", c.Len())
-	}
 	s := c.Stats()
+	if s.Len > 128 {
+		t.Errorf("cache exceeded capacity: %d", s.Len)
+	}
 	if s.Hits+s.Misses == 0 {
 		t.Error("no lookups recorded")
 	}
 }
 
 // TestBytesAccounting pins the approximate-size tracking: inserts credit
-// key+value bytes, updates re-charge the delta, evictions and overwrites
-// debit exactly what was credited — so a cache cycled through many
-// generations of entries never drifts.
+// key+value bytes (a Key costs 16), updates re-charge the delta,
+// evictions and overwrites debit exactly what was credited — so a cache
+// cycled through many generations of entries never drifts.
 func TestBytesAccounting(t *testing.T) {
 	sized := func(v string) int { return len(v) }
-	c := NewSized[string](2, 1, sized)
-	c.Put("aa", "xxxx") // 2 + 4
-	c.Put("bbb", "yy")  // 3 + 2
-	if got := c.Stats().Bytes; got != 11 {
-		t.Fatalf("bytes after two inserts = %d, want 11", got)
+	c := NewMemorySized[string](2, 1, sized)
+	c.Put(testKey(1), "xxxx") // 16 + 4
+	c.Put(testKey(2), "yy")   // 16 + 2
+	if got := c.Stats().Bytes; got != 38 {
+		t.Fatalf("bytes after two inserts = %d, want 38", got)
 	}
-	c.Put("aa", "x") // update: 6 -> 3
-	if got := c.Stats().Bytes; got != 8 {
-		t.Fatalf("bytes after shrinking update = %d, want 8", got)
+	c.Put(testKey(1), "x") // update: 20 -> 17
+	if got := c.Stats().Bytes; got != 35 {
+		t.Fatalf("bytes after shrinking update = %d, want 35", got)
 	}
-	c.Put("cccc", "zzzz") // evicts lru entry "bbb" (5), adds 8
+	c.Put(testKey(3), "zzzz") // evicts lru entry testKey(2) (18), adds 20
 	s := c.Stats()
-	if s.Evictions != 1 || s.Bytes != 11 {
-		t.Fatalf("after eviction: %+v, want 1 eviction and 11 bytes", s)
+	if s.Evictions != 1 || s.Bytes != 37 {
+		t.Fatalf("after eviction: %+v, want 1 eviction and 37 bytes", s)
 	}
 	// Cycle many generations: the total must equal the resident entries'
 	// charge, not accumulate residue from evicted ones.
 	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%02d", i), "vvvv")
+		c.Put(testKey(uint64(100+i)), "vvvv")
 	}
 	s = c.Stats()
-	if s.Len != 2 || s.Bytes != 2*(3+4) {
-		t.Fatalf("after churn: %+v, want 2 resident entries at 7 bytes each", s)
+	if s.Len != 2 || s.Bytes != 2*(16+4) {
+		t.Fatalf("after churn: %+v, want 2 resident entries at 20 bytes each", s)
 	}
 }
 
-// TestDefaultSizerChargesStaticValueSize: New without a sizer charges
-// each entry its key length plus the value type's static footprint.
+// TestDefaultSizerChargesStaticValueSize: NewMemory without a sizer
+// charges each entry its key size plus the value type's static
+// footprint.
 func TestDefaultSizerChargesStaticValueSize(t *testing.T) {
-	c := New[uint64](4, 1)
-	c.Put("abc", 1)
-	if got := c.Stats().Bytes; got != 3+8 {
-		t.Fatalf("bytes = %d, want 11 (3-byte key + 8-byte value)", got)
+	c := NewMemory[uint64](4, 1)
+	c.Put(testKey(1), 1)
+	if got := c.Stats().Bytes; got != 16+8 {
+		t.Fatalf("bytes = %d, want 24 (16-byte key + 8-byte value)", got)
 	}
 }

@@ -6,9 +6,9 @@
 //
 // The package has three parts, each used on its own:
 //
-//   - Memory: the sharded LRU from internal/lru, adapted (not duplicated)
-//     to Key addressing. dse.Explorer caches evaluated points in one, and
-//     search.Runner uses another as its no-eviction visit archive.
+//   - Memory: a sharded LRU keyed by Key. dse.Explorer caches evaluated
+//     points in one, and search.Runner uses another as its no-eviction
+//     visit archive.
 //   - Flight: single-flight deduplication of identical in-flight
 //     computations. The server coalesces identical queued jobs with it.
 //   - Files: a durable named-entry map in a versioned, checksummed file
@@ -23,21 +23,6 @@ package store
 // must fold into the key.
 type Key struct {
 	Hi, Lo uint64
-}
-
-// String renders the key as 16 hex digits, '-', 16 hex digits — the
-// exact legacy dse cache-key format, so the memory tier's LRU keys are
-// stable. Manual encoding keeps a warm cache probe at a single
-// allocation (fmt.Sprintf costs three).
-func (k Key) String() string {
-	const hex = "0123456789abcdef"
-	var b [33]byte
-	for i := 0; i < 16; i++ {
-		b[15-i] = hex[(k.Hi>>(4*i))&0xf]
-		b[32-i] = hex[(k.Lo>>(4*i))&0xf]
-	}
-	b[16] = '-'
-	return string(b[:])
 }
 
 // Stats is one cache's effectiveness snapshot — the shape Memory,
@@ -55,8 +40,8 @@ type Stats struct {
 	// (0 = unbounded).
 	Len      int `json:"entries"`
 	Capacity int `json:"capacity"`
-	// Bytes approximates the tier's resident size: value bytes plus key
-	// bytes for the memory tier.
+	// Bytes approximates the tier's resident size: value bytes plus the
+	// 16 key bytes per entry for the memory tier.
 	Bytes int64 `json:"bytes"`
 }
 

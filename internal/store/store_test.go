@@ -45,17 +45,6 @@ func (pairCodec) Decode(data []byte) (pair, error) {
 	return v, nil
 }
 
-func TestKeyStringFormat(t *testing.T) {
-	k := Key{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
-	want := "0123456789abcdef-fedcba9876543210"
-	if got := k.String(); got != want {
-		t.Errorf("Key.String() = %q, want %q", got, want)
-	}
-	if got := (Key{}).String(); got != "0000000000000000-0000000000000000" {
-		t.Errorf("zero key = %q", got)
-	}
-}
-
 // TestFlightDeduplicates drives N concurrent callers of one key through
 // a gate so all of them are in flight together: exactly one computation
 // must run, everyone shares its value.
